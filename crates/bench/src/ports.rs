@@ -26,6 +26,11 @@ fn matvec(n: i64, rowstr: []i64, colidx: []i64, a: []f64, p: []f64, q: []f64,
 }
 "#;
 
+/// EP (§V-B): the NPB 46-bit LCG `randlc`, `compute_an` (`a^(2*nk)` by
+/// `mk+1` squarings, ep.f label 100), `batch_seed` (`s * an^kk`, ep.f
+/// labels 110/130), and `ep` with a per-thread deviate buffer (ep.f's
+/// threadprivate `x`), a region reduction for the sums and `atomic`
+/// merges of the private annulus counts.
 pub const ZAG_EP: &str = r#"
 fn randlc(x: *f64, a: f64) f64 {
     var r23: f64 = 0.00000011920928955078125;
@@ -137,6 +142,15 @@ fn ep(m: i64, mk: i64, nthreads: i64, q: []f64) f64 {
 }
 "#;
 
+/// IS bucketed counting rank: keys in `[0, 2^maxlog)`, `nb = 2^nblog`
+/// buckets. `counts` is a `nthreads x nb` matrix flattened row-major,
+/// `starts` has `nb + 1` entries, `buff2` receives the keys
+/// bucket-contiguously and `ranks[k]` ends as the number of keys `<= k`.
+/// Phases: (1) private bucket histogram of each thread's key slice;
+/// (2) bucket starts in a `single`, then every thread's scatter cursors;
+/// (3) scatter under the same static partition as (1); (4) per-bucket
+/// ranking under `schedule(static, 1)`, which cycles buckets over threads
+/// to balance skew (the clause §V-C names).
 pub const ZAG_RANK: &str = r#"
 fn rank(keys: []i64, nkeys: i64, maxlog: i64, nblog: i64,
         counts: []i64, starts: []i64, buff2: []i64, ranks: []i64,

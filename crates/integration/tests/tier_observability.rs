@@ -24,8 +24,9 @@ fn serial() -> MutexGuard<'static, ()> {
     g
 }
 
-/// A fill-const pragma loop: the simplest of the seven bulk-kernel
-/// shapes, so at `--opt=3` every iteration runs native.
+/// A constant-fill pragma loop: no fixed kernel shape matches it, so at
+/// `--opt=3` it runs on the typed-template tier, which reports through
+/// the same kernel telemetry, and every iteration runs native.
 const FILL: &str = r#"
 fn fill(a: []f64, n: i64, nthreads: i64) void {
     //$omp parallel num_threads(nthreads) shared(a) firstprivate(n)
@@ -72,7 +73,7 @@ fn kernel_counters_fold_into_metrics() {
         m.kernel_iters, N as u64,
         "every iteration of the fill loop must run inside the kernel"
     );
-    assert_eq!(m.kernel_bails, 0, "fill-const must not bail");
+    assert_eq!(m.kernel_bails, 0, "the fill loop must not bail");
     for i in 0..N as i64 {
         assert_eq!(a.get(i).unwrap(), 3.0);
     }

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use npb::cg::makea::makea;
 use npb::cg::solve::{conj_grad_serial, CgWorkspace};
 use npb::class::{CgParams, Class};
+use zomp_bench::ports::ZAG_MATVEC;
 use zomp_vm::value::{ArrF, ArrI, Value};
 use zomp_vm::{Backend, Vm};
 
@@ -265,4 +266,72 @@ mod common;
 #[test]
 fn cg_port_remarks_match_golden() {
     common::check_remarks_golden(ZAG_CONJ_GRAD, "cg.zag", "remarks_cg.txt");
+}
+
+/// Run the shared `matvec` port on one thread over a tridiagonal
+/// `n`-row matrix with a `q` of `qlen` elements, returning the error
+/// text, if any. One thread, because a trap in one member of a larger
+/// team still leaves its siblings waiting at the loop's closing barrier.
+fn run_matvec(backend: Backend, n: usize, qlen: usize) -> Result<(), String> {
+    let mut rowstr = vec![0usize];
+    let mut colidx = Vec::new();
+    let mut a = Vec::new();
+    for j in 0..n {
+        for c in j.saturating_sub(1)..(j + 2).min(n) {
+            colidx.push(c);
+            a.push(1.0 + c as f64);
+        }
+        rowstr.push(colidx.len());
+    }
+    let p: Vec<f64> = (0..n).map(|j| 0.5 * j as f64).collect();
+    let opt = match backend {
+        Backend::Ast => zomp_vm::OptLevel::O0,
+        _ => zomp_vm::OptLevel::O3,
+    };
+    let vm = Vm::build(ZAG_MATVEC, None, backend, opt).expect("compile Zag matvec");
+    vm.call_function(
+        "matvec",
+        vec![
+            Value::Int(n as i64),
+            Value::ArrI(to_arr_i(&rowstr)),
+            Value::ArrI(to_arr_i(&colidx)),
+            Value::ArrF(to_arr_f(&a)),
+            Value::ArrF(to_arr_f(&p)),
+            Value::ArrF(Arc::new(ArrF::new(qlen))),
+            Value::Int(1),
+            Value::Int(1),
+        ],
+    )
+    .map(|_| ())
+    .map_err(|e| e.to_string())
+}
+
+/// A `q` one row short makes the fused `matvec-rows` kernel bail on the
+/// last row after storing the rows before it. The interpreter replays
+/// that row and must raise the tree-walker oracle's exact error, on the
+/// native backend and on bytecode at `--opt=3`.
+#[test]
+fn matvec_rows_bail_replays_oracle_error() {
+    let diags = zomp_vm::remarks::collect(ZAG_MATVEC, "cg.zag", zomp_vm::OptLevel::O3)
+        .expect("collect remarks");
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.code == "kernel-installed" && d.message.contains("matvec-rows")),
+        "matvec-rows did not install: {diags:#?}"
+    );
+    let n = 200;
+    assert_eq!(run_matvec(Backend::Native, n, n), Ok(()));
+    let oracle = run_matvec(Backend::Ast, n, n - 1);
+    assert!(oracle.is_err(), "expected an out-of-bounds error");
+    let bails = zomp::trace::metrics().kernel_bails;
+    zomp::trace::enable_counters();
+    let native = run_matvec(Backend::Native, n, n - 1);
+    zomp::trace::disable_all();
+    assert!(
+        zomp::trace::metrics().kernel_bails > bails,
+        "the kernel must bail rather than miss"
+    );
+    assert_eq!(native, oracle, "native backend");
+    assert_eq!(run_matvec(Backend::Bytecode, n, n - 1), oracle, "--opt=3");
 }

@@ -5,124 +5,12 @@
 //! and `atomic` updates for the annulus counts.
 //!
 //! Validated bit-for-bit (counts) and to 1e-12 (sums) against the native
-//! Rust `npb::ep` implementation at the same reduced size.
+//! Rust `npb::ep` implementation at the same reduced size. The port
+//! itself is [`zomp_bench::ports::ZAG_EP`], the same source the
+//! benchmarks run.
 
+use zomp_bench::ports::ZAG_EP;
 use zomp_vm::Vm;
-
-const ZAG_EP: &str = r#"
-fn randlc(x: *f64, a: f64) f64 {
-    var r23: f64 = 0.00000011920928955078125;
-    var t23: f64 = 8388608.0;
-    var r46: f64 = r23 * r23;
-    var t46: f64 = t23 * t23;
-
-    var t1: f64 = r23 * a;
-    var a1: f64 = @intToFloat(@floatToInt(t1));
-    var a2: f64 = a - t23 * a1;
-
-    t1 = r23 * x.*;
-    var x1: f64 = @intToFloat(@floatToInt(t1));
-    var x2: f64 = x.* - t23 * x1;
-    t1 = a1 * x2 + a2 * x1;
-    var t2: f64 = @intToFloat(@floatToInt(r23 * t1));
-    var zz: f64 = t1 - t23 * t2;
-    var t3: f64 = t23 * zz + a2 * x2;
-    var t4: f64 = @intToFloat(@floatToInt(r46 * t3));
-    x.* = t3 - t46 * t4;
-    return r46 * x.*;
-}
-
-// an = a^(2*nk) by mk+1 squarings (ep.f label 100).
-fn compute_an(a: f64, mk: i64) f64 {
-    var t1: f64 = a;
-    var i: i64 = 0;
-    while (i < mk + 1) : (i += 1) {
-        var t: f64 = t1;
-        _ = randlc(&t1, t);
-    }
-    return t1;
-}
-
-// Starting seed of batch kk (0-based): s * an^kk (ep.f labels 110/130).
-fn batch_seed(s: f64, an: f64, kk0: i64) f64 {
-    var t1: f64 = s;
-    var t2: f64 = an;
-    var kk: i64 = kk0;
-    var i: i64 = 0;
-    while (i < 100) : (i += 1) {
-        var ik: i64 = kk / 2;
-        if (2 * ik != kk) {
-            _ = randlc(&t1, t2);
-        }
-        if (ik == 0) {
-            break;
-        }
-        var t: f64 = t2;
-        _ = randlc(&t2, t);
-        kk = ik;
-    }
-    return t1;
-}
-
-fn ep(m: i64, mk: i64, nthreads: i64, q: []f64) f64 {
-    var a: f64 = 1220703125.0;
-    var s: f64 = 271828183.0;
-    var nk: i64 = 1;
-    var i0: i64 = 0;
-    while (i0 < mk) : (i0 += 1) {
-        nk = nk * 2;
-    }
-    var batches: i64 = 1;
-    var i1: i64 = 0;
-    while (i1 < m - mk) : (i1 += 1) {
-        batches = batches * 2;
-    }
-    var an: f64 = compute_an(a, mk);
-
-    var sx: f64 = 0.0;
-    var sy: f64 = 0.0;
-
-    //$omp parallel num_threads(nthreads) shared(q) firstprivate(a, s, an, nk, batches) reduction(+: sx, sy)
-    {
-        // Per-thread deviate buffer: the threadprivate x array of ep.f.
-        var x: []f64 = @allocF(2 * nk);
-        var qq: []f64 = @allocF(10);
-
-        var k: i64 = 0;
-        //$omp while schedule(static)
-        while (k < batches) : (k += 1) {
-            var t1: f64 = batch_seed(s, an, k);
-            var j: i64 = 0;
-            while (j < 2 * nk) : (j += 1) {
-                x[j] = randlc(&t1, a);
-            }
-            var i: i64 = 0;
-            while (i < nk) : (i += 1) {
-                var x1: f64 = 2.0 * x[2 * i] - 1.0;
-                var x2: f64 = 2.0 * x[2 * i + 1] - 1.0;
-                var tt: f64 = x1 * x1 + x2 * x2;
-                if (tt <= 1.0) {
-                    var t2: f64 = @sqrt(-2.0 * @log(tt) / tt);
-                    var t3: f64 = x1 * t2;
-                    var t4: f64 = x2 * t2;
-                    var l: i64 = @floatToInt(@max(@abs(t3), @abs(t4)));
-                    qq[l] = qq[l] + 1.0;
-                    sx = sx + t3;
-                    sy = sy + t4;
-                }
-            }
-        }
-
-        // Merge the private annulus counts with atomic updates (ep.f).
-        var b: i64 = 0;
-        while (b < 10) : (b += 1) {
-            //$omp atomic
-            q[b] += qq[b];
-        }
-    }
-    return sx * 1000000.0 + sy;
-}
-"#;
 
 #[test]
 fn zag_ep_matches_rust_ep() {

@@ -3,116 +3,15 @@
 //! Zig). The bucketed algorithm needs per-thread histograms, a `single` for
 //! the bucket prefix sum, cross-thread offset computation, a scatter phase,
 //! and the paper's `static,1` schedule for the per-bucket ranking.
-//! Validated bitwise against `npb::is::rank_serial`.
+//! Validated bitwise against `npb::is::rank_serial`. The port itself is
+//! [`zomp_bench::ports::ZAG_RANK`], the same source the benchmarks run.
 
 use std::sync::Arc;
 
 use npb::is::{custom_params, rank_serial};
+use zomp_bench::ports::ZAG_RANK;
 use zomp_vm::value::{ArrI, Value};
 use zomp_vm::Vm;
-
-const ZAG_RANK: &str = r#"
-// Bucketed counting rank: keys in [0, 2^maxlog), nb = 2^nblog buckets.
-// counts is a (nthreads x nb) matrix flattened row-major; starts has nb+1
-// entries; buff2 gets the keys bucket-contiguously; ranks[k] ends as the
-// number of keys <= k.
-fn rank(keys: []i64, nkeys: i64, maxlog: i64, nblog: i64,
-        counts: []i64, starts: []i64, buff2: []i64, ranks: []i64,
-        nthreads: i64) void {
-    var nb: i64 = 1;
-    var b0: i64 = 0;
-    while (b0 < nblog) : (b0 += 1) {
-        nb = nb * 2;
-    }
-    var shiftbits: i64 = maxlog - nblog;
-    var shiftdiv: i64 = 1;
-    var s0: i64 = 0;
-    while (s0 < shiftbits) : (s0 += 1) {
-        shiftdiv = shiftdiv * 2;
-    }
-
-    //$omp parallel num_threads(nthreads) shared(keys, counts, starts, buff2, ranks) firstprivate(nkeys, nb, shiftdiv)
-    {
-        var tid: i64 = omp.get_thread_num();
-        var nth: i64 = omp.get_num_threads();
-
-        // Phase 1: private bucket histogram of this thread's key slice.
-        var local: []i64 = @allocI(nb);
-        var i: i64 = 0;
-        //$omp while schedule(static) nowait
-        while (i < nkeys) : (i += 1) {
-            var b: i64 = keys[i] / shiftdiv;
-            local[b] = local[b] + 1;
-        }
-        var c: i64 = 0;
-        while (c < nb) : (c += 1) {
-            counts[tid * nb + c] = local[c];
-        }
-        //$omp barrier
-
-        // Phase 2: bucket starts (one thread), then this thread's scatter
-        // cursors (every thread, redundantly, as is.c does).
-        //$omp single
-        {
-            var acc: i64 = 0;
-            var b1: i64 = 0;
-            while (b1 < nb) : (b1 += 1) {
-                starts[b1] = acc;
-                var t: i64 = 0;
-                while (t < nth) : (t += 1) {
-                    acc = acc + counts[t * nb + b1];
-                }
-            }
-            starts[nb] = acc;
-        }
-        var cursor: []i64 = @allocI(nb);
-        var b2: i64 = 0;
-        while (b2 < nb) : (b2 += 1) {
-            var at: i64 = starts[b2];
-            var t2: i64 = 0;
-            while (t2 < tid) : (t2 += 1) {
-                at = at + counts[t2 * nb + b2];
-            }
-            cursor[b2] = at;
-        }
-
-        // Phase 3: scatter (same static partition as phase 1).
-        var i2: i64 = 0;
-        //$omp while schedule(static)
-        while (i2 < nkeys) : (i2 += 1) {
-            var key: i64 = keys[i2];
-            var b3: i64 = key / shiftdiv;
-            buff2[cursor[b3]] = key;
-            cursor[b3] = cursor[b3] + 1;
-        }
-
-        // Phase 4: rank each bucket; schedule(static, 1) cycles buckets
-        // over threads to balance skew (the clause §V-C names).
-        var b4: i64 = 0;
-        //$omp while schedule(static, 1) nowait
-        while (b4 < nb) : (b4 += 1) {
-            var keylo: i64 = b4 * shiftdiv;
-            var keyhi: i64 = (b4 + 1) * shiftdiv;
-            var st: i64 = starts[b4];
-            var en: i64 = starts[b4 + 1];
-            var k: i64 = keylo;
-            while (k < keyhi) : (k += 1) {
-                ranks[k] = 0;
-            }
-            var p: i64 = st;
-            while (p < en) : (p += 1) {
-                ranks[buff2[p]] = ranks[buff2[p]] + 1;
-            }
-            var acc2: i64 = st;
-            var k2: i64 = keylo;
-            while (k2 < keyhi) : (k2 += 1) {
-                acc2 = acc2 + ranks[k2];
-                ranks[k2] = acc2;
-            }
-        }
-    }
-}
-"#;
 
 fn to_arr(v: &[i64]) -> Arc<ArrI> {
     let a = Arc::new(ArrI::new(v.len()));
@@ -199,7 +98,14 @@ fn rank_pipeline_native_bit_identity_across_schedules_and_threads() {
     let want = rank_serial(&keys, &params);
     let nb = 1usize << nblog;
 
-    for sched in ["static", "static, 1", "static, 3", "dynamic", "dynamic, 2", "guided"] {
+    for sched in [
+        "static",
+        "static, 1",
+        "static, 3",
+        "dynamic",
+        "dynamic, 2",
+        "guided",
+    ] {
         let src = ZAG_RANK.replace(
             "schedule(static, 1) nowait",
             &format!("schedule({sched}) nowait"),
@@ -255,9 +161,80 @@ fn port_passes_data_sharing_check() {
 
 mod common;
 
-/// Golden `--remarks` output for the IS port: the histogram, prefix-sum
-/// and scatter phases should all appear as installed kernels.
+/// Golden `--remarks` output for the IS port: the histogram, scatter
+/// and fused rank-pipeline phases should all appear as installed kernels.
 #[test]
 fn is_port_remarks_match_golden() {
     common::check_remarks_golden(ZAG_RANK, "is.zag", "remarks_is.txt");
+}
+
+/// Run the shared `rank` port on one thread with a `ranks` array of
+/// `rlen` elements (the port needs `2^maxlog`), returning the error
+/// text, if any. One thread, because a trap in one member of a larger
+/// team still leaves its siblings waiting at the next barrier.
+fn run_rank(backend: zomp_vm::Backend, rlen: usize) -> Result<(), String> {
+    let maxlog = 9u32;
+    let nblog = 4u32;
+    let params = custom_params(11, maxlog, nblog);
+    let keys: Vec<i64> = npb::is::create_seq(&params)
+        .iter()
+        .map(|&k| k as i64)
+        .collect();
+    let nb = 1usize << nblog;
+    let opt = match backend {
+        zomp_vm::Backend::Ast => zomp_vm::OptLevel::O0,
+        _ => zomp_vm::OptLevel::O3,
+    };
+    let vm = Vm::build(ZAG_RANK, None, backend, opt).expect("compile Zag rank");
+    vm.call_function(
+        "rank",
+        vec![
+            Value::ArrI(to_arr(&keys)),
+            Value::Int(keys.len() as i64),
+            Value::Int(maxlog as i64),
+            Value::Int(nblog as i64),
+            Value::ArrI(Arc::new(ArrI::new(nb))),
+            Value::ArrI(Arc::new(ArrI::new(nb + 1))),
+            Value::ArrI(Arc::new(ArrI::new(keys.len()))),
+            Value::ArrI(Arc::new(ArrI::new(rlen))),
+            Value::Int(1),
+        ],
+    )
+    .map(|_| ())
+    .map_err(|e| e.to_string())
+}
+
+/// A `ranks` array one key short makes the fused `rank-pipeline` kernel
+/// bail on the last bucket, before that bucket's first store. The
+/// interpreter replays the bucket and must raise the tree-walker
+/// oracle's exact error, on the native backend and on bytecode at
+/// `--opt=3`.
+#[test]
+fn rank_pipeline_bail_replays_oracle_error() {
+    let diags = zomp_vm::remarks::collect(ZAG_RANK, "is.zag", zomp_vm::OptLevel::O3)
+        .expect("collect remarks");
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.code == "kernel-installed" && d.message.contains("rank-pipeline")),
+        "rank-pipeline did not install: {diags:#?}"
+    );
+    let maxkey = 1usize << 9;
+    assert_eq!(run_rank(zomp_vm::Backend::Native, maxkey), Ok(()));
+    let oracle = run_rank(zomp_vm::Backend::Ast, maxkey - 1);
+    assert!(oracle.is_err(), "expected an out-of-bounds error");
+    let bails = zomp::trace::metrics().kernel_bails;
+    zomp::trace::enable_counters();
+    let native = run_rank(zomp_vm::Backend::Native, maxkey - 1);
+    zomp::trace::disable_all();
+    assert!(
+        zomp::trace::metrics().kernel_bails > bails,
+        "the kernel must bail rather than miss"
+    );
+    assert_eq!(native, oracle, "native backend");
+    assert_eq!(
+        run_rank(zomp_vm::Backend::Bytecode, maxkey - 1),
+        oracle,
+        "--opt=3"
+    );
 }

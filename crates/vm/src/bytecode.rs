@@ -808,7 +808,13 @@ pub(crate) fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
             let what = f
                 .templates
                 .get(*tidx as usize)
-                .map(|d| format!("{} insns, {} variants", d.prog.ninsns, d.prog.variants.len()))
+                .map(|d| {
+                    format!(
+                        "{} insns, {} variants",
+                        d.prog.ninsns,
+                        d.prog.variants.len()
+                    )
+                })
                 .unwrap_or_else(|| "?".to_string());
             format!("templateloop tmpl{tidx} ({what})")
         }

@@ -5,7 +5,7 @@
 //! did — the compile-time half of the observability layer (the runtime
 //! half is `zomp::trace` / `zag --profile`):
 //!
-//! - **`kernel-installed`** — a loop lowered to one of the nine native
+//! - **`kernel-installed`** — a loop lowered to one of the native
 //!   bulk-kernel shapes (`--opt=3`), named.
 //! - **`kernel-missed`** — a loop that stayed interpreted, with a
 //!   machine-readable reason: `call-boundary` (naming every callee the
@@ -291,7 +291,7 @@ fn classify_miss(
         (
             "shape",
             "shape mismatch",
-            "loop bounds/indexing structure matches none of the nine kernel shapes".to_string(),
+            "loop bounds/indexing structure matches none of the kernel shapes".to_string(),
         )
     }
 }
@@ -506,16 +506,19 @@ mod tests {
         );
     }
 
+    /// The fill loop matches no fixed kernel shape; it lands on the
+    /// typed-template tier, which reports through the same remark path.
     #[test]
     fn o3_reports_installed_fill_kernel_with_pragma_label() {
         let diags = collect(LOOPY, "demo.zag", OptLevel::O3).expect("collect");
         let installed: Vec<_> = diags
             .iter()
-            .filter(|d| d.code == "kernel-installed")
+            .filter(|d| d.code == "kernel-installed" || d.code == "template-installed")
             .collect();
+        assert!(!installed.is_empty(), "{diags:?}");
         assert!(
-            installed.iter().any(|d| d.message.contains("fill-const")),
-            "{installed:?}"
+            !diags.iter().any(|d| d.code == "kernel-missed"),
+            "{diags:?}"
         );
         assert!(
             installed.iter().any(|d| d

@@ -634,7 +634,12 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
         }
         Insn::AddrDeref { dst, src } => {
             let t = match get(env, src) {
-                t @ (Ty::Ptr | Ty::PtrF | Ty::PtrI | Ty::PtrAF | Ty::PtrAI | Ty::ElemPtrF
+                t @ (Ty::Ptr
+                | Ty::PtrF
+                | Ty::PtrI
+                | Ty::PtrAF
+                | Ty::PtrAI
+                | Ty::ElemPtrF
                 | Ty::ElemPtrI) => t,
                 _ => Ty::Dynamic,
             };

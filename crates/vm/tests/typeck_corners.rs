@@ -23,6 +23,17 @@ fn run(src: &str, backend: Backend, opt: OptLevel) -> Result<Vec<String>, String
     }
 }
 
+/// Whether `--opt=3` lowers some loop of `src` to the native tier: a
+/// fixed bulk kernel or a typed template.
+fn installs_native(src: &str) -> bool {
+    let vm = build(src, OptLevel::O3);
+    vm.program
+        .code
+        .funcs
+        .iter()
+        .any(|f| !f.kernels.is_empty() || !f.templates.is_empty())
+}
+
 /// A monomorphic integer loop specializes *statically*: the compiled
 /// image already holds `cjfii`/`addii` before the first instruction runs
 /// (quickening would only get there after a warm-up execution).
@@ -149,9 +160,10 @@ fn private_array_elem_type_stable_across_parallel_body() {
     );
 }
 
-/// At `--opt=3` the work-shared fill loop becomes a bulk kernel; when the
-/// loop runs out of bounds mid-flight the kernel must bail back to the
-/// interpreter and surface the *exact* error the oracle produces.
+/// At `--opt=3` the work-shared fill loop runs natively (a bulk kernel or
+/// a typed template); when the loop runs out of bounds mid-flight the
+/// native loop must bail back to the interpreter and surface the *exact*
+/// error the oracle produces.
 #[test]
 fn bulk_kernel_bails_with_oracle_error() {
     let src = r#"fn main() void {
@@ -164,10 +176,9 @@ fn bulk_kernel_bails_with_oracle_error() {
     }
     print(a[0]);
 }"#;
-    let vm = build(src, OptLevel::O3);
     assert!(
-        vm.program.code.funcs.iter().any(|f| !f.kernels.is_empty()),
-        "expected a bulk kernel to install for the fill loop"
+        installs_native(src),
+        "expected the fill loop to install on the native tier"
     );
     let ast = run(src, Backend::Ast, OptLevel::O0);
     assert!(ast.is_err(), "expected an out-of-bounds error");
@@ -175,9 +186,9 @@ fn bulk_kernel_bails_with_oracle_error() {
     assert_eq!(run(src, Backend::Native, OptLevel::O2), ast);
 }
 
-/// The happy path of the same kernel: in-bounds fill at `--opt=3` agrees
-/// with the oracle and still installs the kernel (i.e. the agreement is
-/// exercising the bulk path, not a failed match).
+/// The happy path of the same loop: in-bounds fill at `--opt=3` agrees
+/// with the oracle and still installs natively (i.e. the agreement is
+/// exercising the native path, not a failed match).
 #[test]
 fn bulk_kernel_fill_agrees_in_bounds() {
     let src = r#"fn main() void {
@@ -190,8 +201,7 @@ fn bulk_kernel_fill_agrees_in_bounds() {
     }
     print(a[0], a[15]);
 }"#;
-    let vm = build(src, OptLevel::O3);
-    assert!(vm.program.code.funcs.iter().any(|f| !f.kernels.is_empty()));
+    assert!(installs_native(src));
     let ast = run(src, Backend::Ast, OptLevel::O0);
     assert_eq!(run(src, Backend::Bytecode, OptLevel::O3), ast);
 }
