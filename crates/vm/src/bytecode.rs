@@ -30,9 +30,12 @@
 //!   ([`Insn::IndexOff`] — `rowstr[j + 1]`), the unconditional
 //!   increment back-edge ([`Insn::IncJump`]), and the deref-fused family
 //!   ([`Insn::DerefIndex`], [`Insn::DerefIndexOff`], [`Insn::DerefIndexSet`],
-//!   [`Insn::DerefIncElemK`], [`Insn::DerefFmaIdx`]) that accesses
-//!   `shared(...)` arrays under a single cell lock without cloning the
-//!   array value into a register.
+//!   [`Insn::DerefIncElemK`], [`Insn::DerefFmaIdx`], [`Insn::FmaIdxCC`],
+//!   [`Insn::FmaGather`]) that accesses `shared(...)` arrays through
+//!   their cell without cloning the array value into a register. The cell
+//!   operand is either a `Ptr` (locked for the access) or, at `--opt>=2`,
+//!   a parameter pinned to its array once per activation
+//!   ([`crate::pin`]), which is read without a lock.
 //! * **Type-specialised instructions** — generic
 //!   `Arith`/`Cmp`/`Index`/`IndexSet`/`CmpJumpFalse` have `i64`/`f64`
 //!   forms ([`Insn::ArithII`] is the AddII/SubII/MulII… family,
@@ -316,10 +319,11 @@ pub enum Insn {
     },
     /// `r[dst] = (*r[cell])[r[idx]]` — deref-fused indexing of a shared
     /// array. The cell (`shared(...)` variables are `Ptr` slots) is locked
-    /// once and the element read under the guard, so the array `Value`
-    /// never round-trips through a register (no `Arc` clone, no overwrite
-    /// drop). Evaluation and error order match the unfused
-    /// `Deref`-then-`Index` pair exactly.
+    /// once and the element read under the guard — or, for a pinned
+    /// parameter ([`crate::pin`]), read straight from the array the
+    /// activation pinned — so the array `Value` never round-trips through
+    /// a register (no `Arc` clone, no overwrite drop). Evaluation and
+    /// error order match the unfused `Deref`-then-`Index` pair exactly.
     DerefIndex {
         dst: Reg,
         cell: Reg,
@@ -341,7 +345,9 @@ pub enum Insn {
     },
     /// `(*r[cell])[r[idx]] op= consts[k]` — deref-fused
     /// [`Insn::IncElemK`] (the IS ranking body `ranks[b] += 1` on a shared
-    /// array): one lock covers the whole read-modify-write.
+    /// array). The cell is read once for the whole read-modify-write:
+    /// the unfused chain re-derefs the same register with nothing in
+    /// between that could rebind the cell, so both derefs see one array.
     DerefIncElemK {
         op: ArithOp,
         cell: Reg,
@@ -349,8 +355,8 @@ pub enum Insn {
         k: u16,
     },
     /// `r[dst] = r[dst] + r[x] * (*r[cell])[r[idx]]` — [`Insn::FmaIdx`]
-    /// with the array operand read through a shared cell under one lock
-    /// (the CG dot-product body `d = d + p[j] * q[j]`).
+    /// with the array operand read through a shared cell (the CG
+    /// dot-product body `d = d + p[j] * q[j]`).
     DerefFmaIdx {
         dst: Reg,
         x: Reg,
@@ -361,8 +367,9 @@ pub enum Insn {
     /// whole CG matvec gather (`s = s + a[k] * p[colidx[k]]` with `p` and
     /// `colidx` both shared) as one dispatch. The `acell` pointer check
     /// happens first (unfused `Deref` position); its *read* is deferred to
-    /// after the `icell` gather, which is unobservable because dereferencing
-    /// a checked `Ptr` cannot fail.
+    /// after the `icell` gather. That is unobservable: dereferencing a
+    /// checked `Ptr` cannot fail, and the gather in between cannot rebind
+    /// a cell.
     FmaIdxCC {
         dst: Reg,
         x: Reg,
@@ -559,6 +566,9 @@ pub struct CompiledFn {
     /// Typed-template descriptors referenced by
     /// [`Insn::TemplateLoop`] (`--opt=3` only; empty below that).
     pub templates: Vec<crate::templates::TemplateDesc>,
+    /// Cell parameters pinned to their array once per activation
+    /// (`--opt>=2`; see [`crate::pin`]). Ascending.
+    pub pinned: Vec<Reg>,
 }
 
 /// A whole program's compiled image, functions in declaration order.
@@ -606,6 +616,9 @@ fn arith_text(op: ArithOp) -> &'static str {
     }
 }
 
+/// Header tag of the pre-optimization stage in [`disasm_stages`].
+const PRE_OPT_TAG: &str = " [pre-opt]";
+
 /// Render one function's bytecode as stable, diffable text.
 pub fn disasm_fn(f: &CompiledFn) -> String {
     disasm_fn_code(f, &f.code, f.consts.len(), "")
@@ -628,6 +641,11 @@ fn disasm_fn_code(f: &CompiledFn, code: &[Insn], nconsts: usize, tag: &str) -> S
             .map(|(r, n, boxed)| format!("r{r}={}{n}", if *boxed { "&" } else { "" }))
             .collect();
         let _ = writeln!(out, "  locals: {}", names.join(" "));
+    }
+    // Pins are chosen on the final stream; the pre-opt view has none.
+    if tag != PRE_OPT_TAG && !f.pinned.is_empty() {
+        let regs: Vec<String> = f.pinned.iter().map(|r| format!("r{r}")).collect();
+        let _ = writeln!(out, "  pinned: {}", regs.join(" "));
     }
     for (i, k) in f.consts.iter().take(nconsts).enumerate() {
         let _ = writeln!(out, "  k{i} = {}", const_text(k));
@@ -841,7 +859,7 @@ pub fn disasm_stages(image: &Image) -> String {
     let mut out = String::new();
     for f in &image.funcs {
         if let Some(pre) = &f.pre_opt {
-            out.push_str(&disasm_fn_code(f, &pre.code, pre.nconsts, " [pre-opt]"));
+            out.push_str(&disasm_fn_code(f, &pre.code, pre.nconsts, PRE_OPT_TAG));
             out.push('\n');
             out.push_str(&disasm_fn_code(f, &f.code, f.consts.len(), " [optimized]"));
         } else {

@@ -210,6 +210,7 @@ impl<'a> FnCx<'a> {
             pre_opt: None,
             kernels: Vec::new(),
             templates: Vec::new(),
+            pinned: Vec::new(),
         }
     }
 

@@ -26,6 +26,7 @@ use zomp_front::token::Tag as T;
 use crate::builtins;
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, Image, Insn, Reg};
 use crate::optimize::OptLevel;
+use crate::pin::{store_cell, CellRef, Pins};
 use crate::value::{err, ArrF, ArrI, Slot, Value, VmError, VmResult};
 
 /// Which execution engine runs function bodies.
@@ -694,14 +695,16 @@ impl Vm {
     /// straight from the shared image. Statically specialized opcodes and
     /// `BulkLoop` deopts rely on the quickening cache to rewrite
     /// themselves back, so `--opt>=2` streams must never run on the fixed
-    /// path.
+    /// path. The function's pinned cell parameters ([`crate::pin`]) are
+    /// resolved to their arrays before the first instruction.
     fn exec_frame(&self, fi: usize, regs: &mut [Value]) -> VmResult<Value> {
+        let f = &self.program.code.funcs[fi];
+        let pins = Pins::apply(regs, &f.pinned);
         if self.program.opt >= OptLevel::O2 {
             let qf = quick_fn(&self.program, fi);
-            self.dispatch(fi, regs, &QuickCode(&qf.code))
+            self.dispatch(fi, regs, &pins, &QuickCode(&qf.code))
         } else {
-            let code: &[Insn] = &self.program.code.funcs[fi].code;
-            self.dispatch(fi, regs, &FixedCode(code))
+            self.dispatch(fi, regs, &pins, &FixedCode(&f.code))
         }
     }
 
@@ -713,7 +716,13 @@ impl Vm {
     /// helpers: every instruction stream that reaches this loop passed
     /// `optimize::verify_fn` at compile time, and quickened rewrites
     /// preserve operands verbatim.
-    fn dispatch<C: CodeStream>(&self, fi: usize, regs: &mut [Value], code: &C) -> VmResult<Value> {
+    fn dispatch<C: CodeStream>(
+        &self,
+        fi: usize,
+        regs: &mut [Value],
+        pins: &Pins,
+        code: &C,
+    ) -> VmResult<Value> {
         let f = &self.program.code.funcs[fi];
         let consts = &f.consts[..];
         let mut pc = 0usize;
@@ -741,26 +750,25 @@ impl Vm {
                     other => return err(format!("cannot dereference {}", other.type_name())),
                 },
                 Insn::CellSet { cell, src } => match rg(regs, cell) {
-                    Value::Ptr(slot) => {
-                        let slot = slot.clone();
-                        *slot.lock() = rg(regs, src).clone();
-                    }
+                    Value::Ptr(slot) => store_cell(slot, rg(regs, src).clone()),
                     other => return err(format!("cannot store through {}", other.type_name())),
                 },
                 Insn::Deref { dst, ptr } => {
-                    let v = match rg(regs, ptr) {
-                        Value::Ptr(slot) => slot.lock().clone(),
-                        Value::ElemPtrF(a, i) => Value::Float(a.get(*i)?),
-                        Value::ElemPtrI(a, i) => Value::Int(a.get(*i)?),
-                        other => return err(format!("cannot dereference {}", other.type_name())),
-                    };
+                    let c = cell_ref(regs, pins, ptr, "dereference")?;
+                    // A loop re-dereferencing a pinned array into the
+                    // register that already holds it writes the same
+                    // value: skip the clone, whose refcount traffic all
+                    // team threads would contend on.
+                    if let CellRef::Pinned(v) = c {
+                        if same_array(v, rg(regs, dst)) {
+                            continue;
+                        }
+                    }
+                    let v = c.read().clone();
                     set(regs, dst, v);
                 }
                 Insn::StorePtr { ptr, src } => match rg(regs, ptr) {
-                    Value::Ptr(slot) => {
-                        let slot = slot.clone();
-                        *slot.lock() = rg(regs, src).clone();
-                    }
+                    Value::Ptr(slot) => store_cell(slot, rg(regs, src).clone()),
                     Value::ElemPtrF(a, i) => a.set(*i, rg(regs, src).as_float()?)?,
                     Value::ElemPtrI(a, i) => a.set(*i, rg(regs, src).as_int()?)?,
                     other => return err(format!("cannot store through {}", other.type_name())),
@@ -1028,7 +1036,7 @@ impl Vm {
                     set(regs, dst, v);
                 }
                 Insn::DerefIndex { dst, cell, idx } => {
-                    let v = deref_index(regs, cell, idx)?;
+                    let v = deref_index(regs, pins, cell, idx)?;
                     set(regs, dst, v);
                 }
                 Insn::DerefIndexOff {
@@ -1039,204 +1047,70 @@ impl Vm {
                 } => {
                     // Unfused order: Deref, then IndexOff (index arithmetic
                     // before the array type check).
-                    let v = match rg(regs, cell) {
-                        Value::Ptr(slot) => {
-                            let i = index_off(rg(regs, idx), off)?;
-                            let g = slot.lock();
-                            match &*g {
-                                Value::ArrF(a) => Value::Float(a.get(i)?),
-                                Value::ArrI(a) => Value::Int(a.get(i)?),
-                                other => return err(format!("cannot index {}", other.type_name())),
-                            }
-                        }
-                        Value::ElemPtrF(a, i2) => {
-                            let elem = Value::Float(a.get(*i2)?);
-                            index_off(rg(regs, idx), off)?;
-                            return err(format!("cannot index {}", elem.type_name()));
-                        }
-                        Value::ElemPtrI(a, i2) => {
-                            let elem = Value::Int(a.get(*i2)?);
-                            index_off(rg(regs, idx), off)?;
-                            return err(format!("cannot index {}", elem.type_name()));
-                        }
-                        other => return err(format!("cannot dereference {}", other.type_name())),
-                    };
+                    let c = cell_ref(regs, pins, cell, "dereference")?;
+                    let i = index_off(rg(regs, idx), off)?;
+                    let v = index_value(&c.read(), i)?;
                     set(regs, dst, v);
                 }
-                Insn::DerefIndexSet { cell, idx, src } => match rg(regs, cell) {
-                    Value::Ptr(slot) => {
-                        let i = rg(regs, idx).as_int()?;
-                        let g = slot.lock();
-                        match &*g {
-                            Value::ArrF(a) => {
-                                let v = rg(regs, src).as_float()?;
-                                a.set(i, v)?;
-                            }
-                            Value::ArrI(a) => {
-                                let v = rg(regs, src).as_int()?;
-                                a.set(i, v)?;
-                            }
-                            other => return err(format!("cannot index {}", other.type_name())),
+                Insn::DerefIndexSet { cell, idx, src } => {
+                    let c = cell_ref(regs, pins, cell, "store through")?;
+                    let i = rg(regs, idx).as_int()?;
+                    let g = c.read();
+                    match &*g {
+                        Value::ArrF(a) => a.set(i, rg(regs, src).as_float()?)?,
+                        Value::ArrI(a) => a.set(i, rg(regs, src).as_int()?)?,
+                        other => return err(format!("cannot index {}", other.type_name())),
+                    }
+                }
+                Insn::DerefIncElemK { op, cell, idx, k } => {
+                    // Unfused chain: DerefIndex → ArithK → DerefIndexSet
+                    // on the same cell register, which nothing between
+                    // the two derefs can rebind: one read of the cell
+                    // covers the read-modify-write.
+                    let cref = cell_ref(regs, pins, cell, "dereference")?;
+                    let i = rg(regs, idx).as_int()?;
+                    let g = cref.read();
+                    match (&*g, kc(consts, k)) {
+                        (Value::ArrI(a), Value::Int(c)) => {
+                            let x = a.get(i)?;
+                            a.set(i, int_arith(op, x, *c)?)?;
                         }
-                    }
-                    Value::ElemPtrF(a, i2) => {
-                        let elem = Value::Float(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    Value::ElemPtrI(a, i2) => {
-                        let elem = Value::Int(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    other => return err(format!("cannot store through {}", other.type_name())),
-                },
-                Insn::DerefIncElemK { op, cell, idx, k } => match rg(regs, cell) {
-                    Value::Ptr(slot) => {
-                        // Unfused chain: DerefIndex → ArithK → DerefIndexSet
-                        // on the same cell register; one lock covers the
-                        // read-modify-write (the unfused pair re-derefs the
-                        // same unchanged register, so collapsing the two
-                        // locks is only observable to racy rebinds of the
-                        // cell, which are unspecified).
-                        let i = rg(regs, idx).as_int()?;
-                        let g = slot.lock();
-                        match (&*g, kc(consts, k)) {
-                            (Value::ArrI(a), Value::Int(c)) => {
-                                let x = a.get(i)?;
-                                a.set(i, int_arith(op, x, *c)?)?;
-                            }
-                            (Value::ArrF(a), Value::Float(c)) => {
-                                let x = a.get(i)?;
-                                a.set(i, float_arith(op, x, *c))?;
-                            }
-                            (other, c) => {
-                                let elem = match other {
-                                    Value::ArrF(a) => Value::Float(a.get(i)?),
-                                    Value::ArrI(a) => Value::Int(a.get(i)?),
-                                    o => return err(format!("cannot index {}", o.type_name())),
-                                };
-                                let nv = binop_arith(arith_token(op), &elem, c)?;
-                                match other {
-                                    Value::ArrF(a) => a.set(i, nv.as_float()?)?,
-                                    Value::ArrI(a) => a.set(i, nv.as_int()?)?,
-                                    _ => unreachable!(),
-                                }
+                        (Value::ArrF(a), Value::Float(c)) => {
+                            let x = a.get(i)?;
+                            a.set(i, float_arith(op, x, *c))?;
+                        }
+                        (other, c) => {
+                            let elem = index_value(other, i)?;
+                            let nv = binop_arith(arith_token(op), &elem, c)?;
+                            match other {
+                                Value::ArrF(a) => a.set(i, nv.as_float()?)?,
+                                Value::ArrI(a) => a.set(i, nv.as_int()?)?,
+                                _ => unreachable!(),
                             }
                         }
                     }
-                    Value::ElemPtrF(a, i2) => {
-                        let elem = Value::Float(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    Value::ElemPtrI(a, i2) => {
-                        let elem = Value::Int(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    other => return err(format!("cannot dereference {}", other.type_name())),
-                },
-                Insn::DerefFmaIdx { dst, x, cell, idx } => match rg(regs, cell) {
-                    Value::Ptr(slot) => {
-                        let g = slot.lock();
-                        let v = match (&*g, rg(regs, idx), rg(regs, x), rg(regs, dst)) {
-                            (
-                                Value::ArrF(a),
-                                Value::Int(i),
-                                Value::Float(xv),
-                                Value::Float(acc),
-                            ) => {
-                                // Mul then add, as the unfused pair.
-                                Value::Float(*acc + *xv * a.get(*i)?)
-                            }
-                            _ => {
-                                // Unfused order: Index; Mul; Add.
-                                let i = rg(regs, idx).as_int()?;
-                                let elem = match &*g {
-                                    Value::ArrF(a) => Value::Float(a.get(i)?),
-                                    Value::ArrI(a) => Value::Int(a.get(i)?),
-                                    other => {
-                                        return err(format!("cannot index {}", other.type_name()))
-                                    }
-                                };
-                                let prod = binop_arith(T::Star, rg(regs, x), &elem)?;
-                                binop_arith(T::Plus, rg(regs, dst), &prod)?
-                            }
-                        };
-                        drop(g);
-                        set(regs, dst, v);
-                    }
-                    Value::ElemPtrF(a, i2) => {
-                        let elem = Value::Float(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    Value::ElemPtrI(a, i2) => {
-                        let elem = Value::Int(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    other => return err(format!("cannot dereference {}", other.type_name())),
-                },
+                }
+                Insn::DerefFmaIdx { dst, x, cell, idx } => {
+                    let c = cell_ref(regs, pins, cell, "dereference")?;
+                    let v = fma_elem(&c.read(), rg(regs, idx), rg(regs, x), rg(regs, dst))?;
+                    set(regs, dst, v);
+                }
                 Insn::FmaIdxCC {
                     dst,
                     x,
                     acell,
                     icell,
                     idx,
-                } => match rg(regs, acell) {
-                    Value::Ptr(ps) => {
-                        // Unfused order: Deref(acell) ran first — for a live
-                        // `Ptr` it cannot fail, so only the pointer *check*
-                        // stays in place and the read is deferred past the
-                        // index gather (observable only to racy rebinds of
-                        // the cell itself, which are unspecified).
-                        let iv = deref_index(regs, icell, idx)?;
-                        let g = ps.lock();
-                        let v = match (&*g, &iv, rg(regs, x), rg(regs, dst)) {
-                            (
-                                Value::ArrF(a),
-                                Value::Int(i),
-                                Value::Float(xv),
-                                Value::Float(acc),
-                            ) => {
-                                // Mul then add, as the unfused pair.
-                                Value::Float(*acc + *xv * a.get(*i)?)
-                            }
-                            _ => {
-                                // Unfused FmaIdx order: Index; Mul; Add.
-                                let i = iv.as_int()?;
-                                let elem = match &*g {
-                                    Value::ArrF(a) => Value::Float(a.get(i)?),
-                                    Value::ArrI(a) => Value::Int(a.get(i)?),
-                                    other => {
-                                        return err(format!("cannot index {}", other.type_name()))
-                                    }
-                                };
-                                let prod = binop_arith(T::Star, rg(regs, x), &elem)?;
-                                binop_arith(T::Plus, rg(regs, dst), &prod)?
-                            }
-                        };
-                        drop(g);
-                        set(regs, dst, v);
-                    }
-                    Value::ElemPtrF(a, i2) => {
-                        // Deref yields a scalar; the gather still runs, then
-                        // the FmaIdx slow path rejects the non-array operand.
-                        let elem_a = Value::Float(a.get(*i2)?);
-                        let iv = deref_index(regs, icell, idx)?;
-                        iv.as_int()?;
-                        return err(format!("cannot index {}", elem_a.type_name()));
-                    }
-                    Value::ElemPtrI(a, i2) => {
-                        let elem_a = Value::Int(a.get(*i2)?);
-                        let iv = deref_index(regs, icell, idx)?;
-                        iv.as_int()?;
-                        return err(format!("cannot index {}", elem_a.type_name()));
-                    }
-                    other => return err(format!("cannot dereference {}", other.type_name())),
-                },
+                } => {
+                    // Unfused order: Deref(acell) ran first; once its
+                    // pointer check passes the read cannot fail, so the
+                    // read is deferred past the index gather (which may
+                    // lock the same cell).
+                    let ca = cell_ref(regs, pins, acell, "dereference")?;
+                    let iv = deref_index(regs, pins, icell, idx)?;
+                    let v = fma_elem(&ca.read(), &iv, rg(regs, x), rg(regs, dst))?;
+                    set(regs, dst, v);
+                }
                 Insn::FmaGather {
                     dst,
                     xcell,
@@ -1246,55 +1120,11 @@ impl Vm {
                 } => {
                     // Unfused order: DerefIndex(xcell)[idx] produced the
                     // multiplier first, then the FmaIdxCC chain ran.
-                    let xv = deref_index(regs, xcell, idx)?;
-                    match rg(regs, acell) {
-                        Value::Ptr(ps) => {
-                            let iv = deref_index(regs, icell, idx)?;
-                            let g = ps.lock();
-                            let v = match (&*g, &iv, &xv, rg(regs, dst)) {
-                                (
-                                    Value::ArrF(a),
-                                    Value::Int(i),
-                                    Value::Float(xf),
-                                    Value::Float(acc),
-                                ) => {
-                                    // Mul then add, as the unfused pair.
-                                    Value::Float(*acc + *xf * a.get(*i)?)
-                                }
-                                _ => {
-                                    // Unfused FmaIdx order: Index; Mul; Add.
-                                    let i = iv.as_int()?;
-                                    let elem = match &*g {
-                                        Value::ArrF(a) => Value::Float(a.get(i)?),
-                                        Value::ArrI(a) => Value::Int(a.get(i)?),
-                                        other => {
-                                            return err(format!(
-                                                "cannot index {}",
-                                                other.type_name()
-                                            ))
-                                        }
-                                    };
-                                    let prod = binop_arith(T::Star, &xv, &elem)?;
-                                    binop_arith(T::Plus, rg(regs, dst), &prod)?
-                                }
-                            };
-                            drop(g);
-                            set(regs, dst, v);
-                        }
-                        Value::ElemPtrF(a, i2) => {
-                            let elem_a = Value::Float(a.get(*i2)?);
-                            let iv = deref_index(regs, icell, idx)?;
-                            iv.as_int()?;
-                            return err(format!("cannot index {}", elem_a.type_name()));
-                        }
-                        Value::ElemPtrI(a, i2) => {
-                            let elem_a = Value::Int(a.get(*i2)?);
-                            let iv = deref_index(regs, icell, idx)?;
-                            iv.as_int()?;
-                            return err(format!("cannot index {}", elem_a.type_name()));
-                        }
-                        other => return err(format!("cannot dereference {}", other.type_name())),
-                    }
+                    let xv = deref_index(regs, pins, xcell, idx)?;
+                    let ca = cell_ref(regs, pins, acell, "dereference")?;
+                    let iv = deref_index(regs, pins, icell, idx)?;
+                    let v = fma_elem(&ca.read(), &iv, &xv, rg(regs, dst))?;
+                    set(regs, dst, v);
                 }
                 Insn::Cmp { op, dst, a, b } => {
                     let v = match (rg(regs, a), rg(regs, b)) {
@@ -1561,7 +1391,7 @@ impl Vm {
                     // instruction replays the failing iteration interpreted
                     // (raising the exact error the interpreter would).
                     let desc = &f.kernels[kidx as usize];
-                    if crate::kernels::run(desc, (pc - 1) as u32, regs, consts) {
+                    if crate::kernels::run(desc, (pc - 1) as u32, regs, pins, consts) {
                         pc = desc.exit as usize;
                     } else {
                         code.quicken(pc - 1, desc.orig);
@@ -1575,7 +1405,7 @@ impl Vm {
                     // ops over an unboxed frame. Deopt contract is
                     // identical to `BulkLoop` above.
                     let desc = &f.templates[tidx as usize];
-                    if crate::templates::run(desc, (pc - 1) as u32, regs) {
+                    if crate::templates::run(desc, (pc - 1) as u32, regs, pins) {
                         pc = desc.exit as usize;
                     } else {
                         code.quicken(pc - 1, desc.orig);
@@ -1756,36 +1586,70 @@ fn kc(consts: &[Value], k: u16) -> &Value {
     unsafe { consts.get_unchecked(k as usize) }
 }
 
-/// The `DerefIndex` computation: dereference the cell register and index
-/// the result, with the element read under the cell guard on the `Ptr`
-/// path (no array `Value` clone). Evaluation and error order match the
-/// unfused `Deref`-then-`Index` pair: the deref completes first (its only
-/// error is a non-pointer operand — the `ElemPtr` paths replay the `Index`
-/// arm on the scalar for the exact unfused error), then the index
-/// coercion, then the array type check and bounds check.
+/// A `Deref*` cell operand past the unfused `Deref`'s pointer check: a
+/// cell (locked when read), a live pinned array, or an element pointer's
+/// scalar (read now, as the unfused `Deref` would). Anything else is the
+/// unfused `Deref`'s error; `verb` is `"store through"` for the
+/// `DerefIndexSet` position and `"dereference"` everywhere else.
 #[inline(always)]
-fn deref_index(regs: &[Value], cell: Reg, idx: Reg) -> VmResult<Value> {
-    match rg(regs, cell) {
-        Value::Ptr(slot) => {
-            let i = rg(regs, idx).as_int()?;
-            let g = slot.lock();
-            match &*g {
-                Value::ArrF(a) => Ok(Value::Float(a.get(i)?)),
-                Value::ArrI(a) => Ok(Value::Int(a.get(i)?)),
-                other => err(format!("cannot index {}", other.type_name())),
-            }
+fn cell_ref<'a>(regs: &'a [Value], pins: &'a Pins, cell: Reg, verb: &str) -> VmResult<CellRef<'a>> {
+    let v = rg(regs, cell);
+    if let Some(c) = pins.cell(v, cell) {
+        return Ok(c);
+    }
+    match v {
+        Value::ElemPtrF(a, i) => Ok(CellRef::Elem(Value::Float(a.get(*i)?))),
+        Value::ElemPtrI(a, i) => Ok(CellRef::Elem(Value::Int(a.get(*i)?))),
+        other => err(format!("cannot {verb} {}", other.type_name())),
+    }
+}
+
+/// Whether two values are the same shared array.
+#[inline(always)]
+fn same_array(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::ArrF(x), Value::ArrF(y)) => Arc::ptr_eq(x, y),
+        (Value::ArrI(x), Value::ArrI(y)) => Arc::ptr_eq(x, y),
+        _ => false,
+    }
+}
+
+/// `v[i]` for the `Deref*` family, with the `Index` arm's errors.
+#[inline(always)]
+fn index_value(v: &Value, i: i64) -> VmResult<Value> {
+    match v {
+        Value::ArrF(a) => Ok(Value::Float(a.get(i)?)),
+        Value::ArrI(a) => Ok(Value::Int(a.get(i)?)),
+        other => err(format!("cannot index {}", other.type_name())),
+    }
+}
+
+/// The `DerefIndex` computation. Evaluation and error order match the
+/// unfused `Deref`-then-`Index` pair: the deref's pointer check first,
+/// then the index coercion, then the array type check and bounds check.
+#[inline(always)]
+fn deref_index(regs: &[Value], pins: &Pins, cell: Reg, idx: Reg) -> VmResult<Value> {
+    let c = cell_ref(regs, pins, cell, "dereference")?;
+    let i = rg(regs, idx).as_int()?;
+    let g = c.read();
+    index_value(&g, i)
+}
+
+/// `acc + x * arr[i]`, the accumulate step of the `DerefFmaIdx` /
+/// `FmaIdxCC` / `FmaGather` chains. The float fast path multiplies then
+/// adds, as the unfused pair; anything else replays the unfused
+/// `Index`; `Mul`; `Add` order for the exact error.
+#[inline(always)]
+fn fma_elem(arr: &Value, i: &Value, x: &Value, acc: &Value) -> VmResult<Value> {
+    match (arr, i, x, acc) {
+        (Value::ArrF(a), Value::Int(i), Value::Float(xv), Value::Float(acc)) => {
+            Ok(Value::Float(*acc + *xv * a.get(*i)?))
         }
-        Value::ElemPtrF(a, i2) => {
-            let elem = Value::Float(a.get(*i2)?);
-            rg(regs, idx).as_int()?;
-            err(format!("cannot index {}", elem.type_name()))
+        _ => {
+            let elem = index_value(arr, i.as_int()?)?;
+            let prod = binop_arith(T::Star, x, &elem)?;
+            binop_arith(T::Plus, acc, &prod)
         }
-        Value::ElemPtrI(a, i2) => {
-            let elem = Value::Int(a.get(*i2)?);
-            rg(regs, idx).as_int()?;
-            err(format!("cannot index {}", elem.type_name()))
-        }
-        other => err(format!("cannot dereference {}", other.type_name())),
     }
 }
 

@@ -38,6 +38,7 @@
 
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, PreOpt, Reg};
 use crate::optimize::verify_fn;
+use crate::pin::{store_cell, Pins};
 use crate::value::{ArrF, ArrI, Value};
 use std::sync::Arc;
 
@@ -1526,9 +1527,15 @@ fn match_ep_pairs(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
 /// before/after delta) and, on a bail, a `KernelBail` event carrying
 /// the machine-readable reason; the disabled-tracing cost is one
 /// relaxed atomic load.
-pub(crate) fn run(desc: &KernelDesc, pc: u32, regs: &mut [Value], consts: &[Value]) -> bool {
+pub(crate) fn run(
+    desc: &KernelDesc,
+    pc: u32,
+    regs: &mut [Value],
+    pins: &Pins,
+    consts: &[Value],
+) -> bool {
     if !zomp::trace::active() {
-        return run_inner(desc, regs, consts).is_ok();
+        return run_inner(desc, regs, pins, consts).is_ok();
     }
     let t0 = zomp::trace::kernel_begin_ts();
     let ind = desc.kind.induction() as usize;
@@ -1536,7 +1543,7 @@ pub(crate) fn run(desc: &KernelDesc, pc: u32, regs: &mut [Value], consts: &[Valu
         Value::Int(v) => v,
         _ => 0,
     };
-    let r = run_inner(desc, regs, consts);
+    let r = run_inner(desc, regs, pins, consts);
     let after = match regs[ind] {
         Value::Int(v) => v,
         _ => before,
@@ -1600,15 +1607,17 @@ impl FencedArr {
 /// Open write fences on every array the kernel stores into (resolved
 /// best-effort: an unresolvable register means the kernel is about to
 /// bail on its own type precheck without writing anything).
-fn begin_fences(kind: &KernelKind, regs: &[Value]) -> [Option<FencedArr>; 2] {
+fn begin_fences(kind: &KernelKind, regs: &[Value], pins: &Pins) -> [Option<FencedArr>; 2] {
     match *kind {
-        KernelKind::MatvecRows { qcell, .. } => [FencedArr::begin_f(cell_arrf(regs, qcell)), None],
+        KernelKind::MatvecRows { qcell, .. } => {
+            [FencedArr::begin_f(cell_arrf(regs, pins, qcell)), None]
+        }
         KernelKind::Histogram { local, .. } => [FencedArr::begin_i(reg_arri(regs, local)), None],
         KernelKind::RankPipeline { rcell, .. } => {
-            [FencedArr::begin_i(cell_arri(regs, rcell)), None]
+            [FencedArr::begin_i(cell_arri(regs, pins, rcell)), None]
         }
         KernelKind::Scatter { bcell, cur, .. } => [
-            FencedArr::begin_i(cell_arri(regs, bcell)),
+            FencedArr::begin_i(cell_arri(regs, pins, bcell)),
             FencedArr::begin_i(reg_arri(regs, cur)),
         ],
         KernelKind::LcgFill { arr, .. } => [FencedArr::begin_f(reg_arrf(regs, arr)), None],
@@ -1616,13 +1625,18 @@ fn begin_fences(kind: &KernelKind, regs: &[Value]) -> [Option<FencedArr>; 2] {
     }
 }
 
-fn run_inner(desc: &KernelDesc, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
-    let fences = begin_fences(&desc.kind, regs);
+fn run_inner(
+    desc: &KernelDesc,
+    regs: &mut [Value],
+    pins: &Pins,
+    consts: &[Value],
+) -> Result<(), Bail> {
+    let fences = begin_fences(&desc.kind, regs, pins);
     let r = match desc.kind {
-        KernelKind::MatvecRows { .. } => run_matvec_rows(&desc.kind, regs, consts),
-        KernelKind::Histogram { .. } => run_histogram(&desc.kind, regs, consts),
-        KernelKind::RankPipeline { .. } => run_rank_pipeline(&desc.kind, regs, consts),
-        KernelKind::Scatter { .. } => run_scatter(&desc.kind, regs, consts),
+        KernelKind::MatvecRows { .. } => run_matvec_rows(&desc.kind, regs, pins, consts),
+        KernelKind::Histogram { .. } => run_histogram(&desc.kind, regs, pins, consts),
+        KernelKind::RankPipeline { .. } => run_rank_pipeline(&desc.kind, regs, pins, consts),
+        KernelKind::Scatter { .. } => run_scatter(&desc.kind, regs, pins, consts),
         KernelKind::LcgFill { .. } => run_lcg_fill(&desc.kind, regs, consts),
         KernelKind::EpPairs { .. } => run_ep_pairs(&desc.kind, regs),
     };
@@ -1632,22 +1646,18 @@ fn run_inner(desc: &KernelDesc, regs: &mut [Value], consts: &[Value]) -> Result<
     r
 }
 
-fn cell_arrf(regs: &[Value], r: Reg) -> Option<Arc<ArrF>> {
-    match &regs[r as usize] {
-        Value::Ptr(slot) => match &*slot.lock() {
-            Value::ArrF(a) => Some(a.clone()),
-            _ => None,
-        },
+/// The `[]f64` behind a cell operand: a cell locked once at kernel
+/// entry, or the activation's pinned array ([`crate::pin`]).
+fn cell_arrf(regs: &[Value], pins: &Pins, r: Reg) -> Option<Arc<ArrF>> {
+    match &*pins.cell(&regs[r as usize], r)?.read() {
+        Value::ArrF(a) => Some(a.clone()),
         _ => None,
     }
 }
 
-fn cell_arri(regs: &[Value], r: Reg) -> Option<Arc<ArrI>> {
-    match &regs[r as usize] {
-        Value::Ptr(slot) => match &*slot.lock() {
-            Value::ArrI(a) => Some(a.clone()),
-            _ => None,
-        },
+fn cell_arri(regs: &[Value], pins: &Pins, r: Reg) -> Option<Arc<ArrI>> {
+    match &*pins.cell(&regs[r as usize], r)?.read() {
+        Value::ArrI(a) => Some(a.clone()),
         _ => None,
     }
 }
@@ -1679,7 +1689,12 @@ fn div_ok(x: i64, y: i64) -> bool {
     y != 0 && !(y == -1 && x == i64::MIN)
 }
 
-fn run_matvec_rows(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
+fn run_matvec_rows(
+    kind: &KernelKind,
+    regs: &mut [Value],
+    pins: &Pins,
+    consts: &[Value],
+) -> Result<(), Bail> {
     let KernelKind::MatvecRows {
         rowcell,
         j,
@@ -1697,11 +1712,11 @@ fn run_matvec_rows(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> R
         return Err(BAIL_TYPE);
     };
     let (Some(rows), Some(xv), Some(av), Some(ic), Some(qv)) = (
-        cell_arri(regs, rowcell),
-        cell_arrf(regs, xcell),
-        cell_arrf(regs, acell),
-        cell_arri(regs, icell),
-        cell_arrf(regs, qcell),
+        cell_arri(regs, pins, rowcell),
+        cell_arrf(regs, pins, xcell),
+        cell_arrf(regs, pins, acell),
+        cell_arri(regs, pins, icell),
+        cell_arrf(regs, pins, qcell),
     ) else {
         return Err(BAIL_TYPE);
     };
@@ -1817,7 +1832,12 @@ fn run_matvec_rows(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> R
     }
 }
 
-fn run_histogram(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
+fn run_histogram(
+    kind: &KernelKind,
+    regs: &mut [Value],
+    pins: &Pins,
+    consts: &[Value],
+) -> Result<(), Bail> {
     let KernelKind::Histogram {
         keys,
         i,
@@ -1831,7 +1851,7 @@ fn run_histogram(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Res
     else {
         return Err(BAIL_TYPE);
     };
-    let (Some(ka), Some(la)) = (cell_arri(regs, keys), reg_arri(regs, local)) else {
+    let (Some(ka), Some(la)) = (cell_arri(regs, pins, keys), reg_arri(regs, local)) else {
         return Err(BAIL_TYPE);
     };
     let (Some(mut iv), Some(sdv), Some(ubv)) =
@@ -1977,7 +1997,12 @@ fn run_histogram(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Res
 /// error. Scalar registers are written back eagerly per bucket in
 /// program order, which resolves the register aliasing in the matched
 /// stream for free.
-fn run_rank_pipeline(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
+fn run_rank_pipeline(
+    kind: &KernelKind,
+    regs: &mut [Value],
+    pins: &Pins,
+    consts: &[Value],
+) -> Result<(), Bail> {
     let KernelKind::RankPipeline {
         scell,
         rcell,
@@ -2013,9 +2038,9 @@ fn run_rank_pipeline(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) ->
         return Err(BAIL_TYPE);
     };
     let (Some(sa), Some(rk), Some(bu)) = (
-        cell_arri(regs, scell),
-        cell_arri(regs, rcell),
-        cell_arri(regs, bcell),
+        cell_arri(regs, pins, scell),
+        cell_arri(regs, pins, rcell),
+        cell_arri(regs, pins, bcell),
     ) else {
         return Err(BAIL_TYPE);
     };
@@ -2232,7 +2257,12 @@ fn const_int_v(consts: &[Value], k: u16) -> Option<i64> {
     }
 }
 
-fn run_scatter(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
+fn run_scatter(
+    kind: &KernelKind,
+    regs: &mut [Value],
+    pins: &Pins,
+    consts: &[Value],
+) -> Result<(), Bail> {
     let KernelKind::Scatter {
         keys,
         i,
@@ -2250,8 +2280,8 @@ fn run_scatter(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Resul
         return Err(BAIL_TYPE);
     };
     let (Some(ka), Some(ba), Some(ca)) = (
-        cell_arri(regs, keys),
-        cell_arri(regs, bcell),
+        cell_arri(regs, pins, keys),
+        cell_arri(regs, pins, bcell),
         reg_arri(regs, cur),
     ) else {
         return Err(BAIL_TYPE);
@@ -2503,7 +2533,7 @@ fn run_lcg_fill(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Resu
             // before anything reads them.
             regs[j as usize] = Value::Int(jv);
             regs[lim as usize] = Value::Int(limv);
-            *slot.lock() = Value::Float(t);
+            store_cell(&slot, Value::Float(t));
             return Err(BAIL_BOUNDS);
         }
         let d = lcg_step(&mut t, a1, a2);
@@ -2527,7 +2557,7 @@ fn run_lcg_fill(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Resu
     if let Some(d) = last {
         regs[res as usize] = Value::Float(d);
     }
-    *slot.lock() = Value::Float(t);
+    store_cell(&slot, Value::Float(t));
     Ok(())
 }
 

@@ -47,6 +47,7 @@ pub mod interp;
 pub mod ir;
 pub mod kernels;
 pub mod optimize;
+mod pin;
 pub mod remarks;
 pub mod templates;
 pub mod typeck;

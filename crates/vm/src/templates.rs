@@ -56,6 +56,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::bytecode::{ArithOp, CmpOp, CompiledFn, Insn, Reg};
+use crate::pin::Pins;
 use crate::value::{ArrF, ArrI, Value};
 
 /// Scalar slots per kind in a template frame.
@@ -464,9 +465,9 @@ fn cmp_f(op: CmpOp, a: f64, b: f64) -> bool {
 /// Telemetry mirrors the kernel tier: a span per dispatch, native
 /// iterations from the induction register's before/after delta, and
 /// the machine-readable bail reason on deopt.
-pub(crate) fn run(desc: &TemplateDesc, pc: u32, regs: &mut [Value]) -> bool {
+pub(crate) fn run(desc: &TemplateDesc, pc: u32, regs: &mut [Value], pins: &Pins) -> bool {
     if !zomp::trace::active() {
-        return run_inner(&desc.prog, regs).is_ok();
+        return run_inner(&desc.prog, regs, pins).is_ok();
     }
     let t0 = zomp::trace::kernel_begin_ts();
     let ind = desc.prog.ind as usize;
@@ -474,7 +475,7 @@ pub(crate) fn run(desc: &TemplateDesc, pc: u32, regs: &mut [Value]) -> bool {
         Value::Int(v) => v,
         _ => 0,
     };
-    let r = run_inner(&desc.prog, regs);
+    let r = run_inner(&desc.prog, regs, pins);
     let after = match regs[ind] {
         Value::Int(v) => v,
         _ => before,
@@ -489,9 +490,9 @@ pub(crate) fn run(desc: &TemplateDesc, pc: u32, regs: &mut [Value]) -> bool {
     r.is_ok()
 }
 
-fn run_inner(prog: &TProg, regs: &mut [Value]) -> Result<(), Bail> {
+fn run_inner(prog: &TProg, regs: &mut [Value], pins: &Pins) -> Result<(), Bail> {
     for v in &prog.variants {
-        match run_variant(v, regs) {
+        match run_variant(v, regs, pins) {
             VOut::Skip => continue,
             VOut::Done => return Ok(()),
             VOut::Bail(b) => return Err(b),
@@ -508,7 +509,7 @@ enum VOut {
     Bail(Bail),
 }
 
-fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
+fn run_variant(v: &TVariant, regs: &mut [Value], pins: &Pins) -> VOut {
     // Resolve binds first: scalars into local slot files, arrays into
     // owning Arcs (cells lock once, exactly like the kernels — a racy
     // concurrent rebind of the cell itself is unspecified either way).
@@ -534,19 +535,19 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
                 Value::ArrF(a) => arcf[slot as usize] = Some(a.clone()),
                 _ => return VOut::Skip,
             },
-            Bind::CellI { reg, slot } => match &regs[reg as usize] {
-                Value::Ptr(p) => match &*p.lock() {
+            Bind::CellI { reg, slot } => match pins.cell(&regs[reg as usize], reg) {
+                Some(c) => match &*c.read() {
                     Value::ArrI(a) => arci[slot as usize] = Some(a.clone()),
                     _ => return VOut::Skip,
                 },
-                _ => return VOut::Skip,
+                None => return VOut::Skip,
             },
-            Bind::CellF { reg, slot } => match &regs[reg as usize] {
-                Value::Ptr(p) => match &*p.lock() {
+            Bind::CellF { reg, slot } => match pins.cell(&regs[reg as usize], reg) {
+                Some(c) => match &*c.read() {
                     Value::ArrF(a) => arcf[slot as usize] = Some(a.clone()),
                     _ => return VOut::Skip,
                 },
-                _ => return VOut::Skip,
+                None => return VOut::Skip,
             },
         }
     }
@@ -2085,6 +2086,7 @@ mod tests {
             pre_opt: None,
             kernels: Vec::new(),
             templates: Vec::new(),
+            pinned: Vec::new(),
         }
     }
 
@@ -2120,12 +2122,12 @@ mod tests {
         assert!(!v.fallible);
         assert!(v.outs_body.is_empty());
         let mut regs = vec![Value::Int(5), Value::Int(1), Value::Int(0)];
-        assert!(run_inner(&prog, &mut regs).is_ok());
+        assert!(run_inner(&prog, &mut regs, &Pins::default()).is_ok());
         assert!(matches!(regs[1], Value::Int(243)));
         assert!(matches!(regs[2], Value::Int(5)));
         // Wrong accumulator type: bind must fail with no side effects.
         let mut regs = vec![Value::Int(5), Value::Float(1.0), Value::Int(0)];
-        assert!(run_inner(&prog, &mut regs).is_err());
+        assert!(run_inner(&prog, &mut regs, &Pins::default()).is_err());
         assert!(matches!(regs[1], Value::Float(x) if x == 1.0));
     }
 
@@ -2171,7 +2173,7 @@ mod tests {
             Value::Undefined,
             Value::Int(4),
         ];
-        assert!(run_inner(&prog, &mut regs).is_ok());
+        assert!(run_inner(&prog, &mut regs, &Pins::default()).is_ok());
         assert_eq!(dst.get(3).unwrap(), 3.5);
         // The loaded element was boxed back as a Float.
         assert!(matches!(regs[3], Value::Float(x) if x == 3.5));
@@ -2220,7 +2222,7 @@ mod tests {
             Value::Undefined,
             Value::Int(0),
         ];
-        let r = run_inner(&prog, &mut regs);
+        let r = run_inner(&prog, &mut regs, &Pins::default());
         assert_eq!(r, Err(BAIL_BOUNDS));
         assert!(matches!(regs[2], Value::Int(3)));
         assert!(matches!(regs[4], Value::Int(33)));
@@ -2256,11 +2258,11 @@ mod tests {
         let (prog, exit) = match_at(&f, 0).expect("should match");
         assert_eq!(exit, 4);
         let mut regs = vec![Value::Int(5), Value::Int(5), Value::Str(Arc::from("x"))];
-        assert!(run_inner(&prog, &mut regs).is_ok());
+        assert!(run_inner(&prog, &mut regs, &Pins::default()).is_ok());
         assert!(matches!(regs[2], Value::Str(_)));
         // And with iterations, the const lands.
         let mut regs = vec![Value::Int(0), Value::Int(5), Value::Undefined];
-        assert!(run_inner(&prog, &mut regs).is_ok());
+        assert!(run_inner(&prog, &mut regs, &Pins::default()).is_ok());
         assert!(matches!(regs[0], Value::Int(5)));
         assert!(matches!(regs[2], Value::Int(7)));
     }

@@ -633,8 +633,11 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
             set(env, dst, t);
         }
         Insn::AddrDeref { dst, src } => {
+            // ⊥ stays ⊥ (no caller evidence yet), so an early fixpoint
+            // round cannot pin a pointer parameter's callees to Dynamic.
             let t = match get(env, src) {
-                t @ (Ty::Ptr
+                t @ (Ty::Bottom
+                | Ty::Ptr
                 | Ty::PtrF
                 | Ty::PtrI
                 | Ty::PtrAF
@@ -800,12 +803,14 @@ fn specialize_insn(insn: &Insn, env: &[Ty]) -> Option<Insn> {
 /// Statically specialize every function in the image in place
 /// (`--opt>=2`). Sites whose operands inference can prove Int/Float
 /// get their quickened opcode emitted directly; everything else is
-/// left for runtime quickening.
+/// left for runtime quickening. Also picks each function's pinnable
+/// cell parameters ([`crate::pin::select`]) from the same summaries.
 pub fn specialize_image(image: &mut Image) {
     let types = infer_image(image);
     let nfuncs = image.funcs.len();
     for (fi, f) in image.funcs.iter_mut().enumerate() {
         specialize_fn(f, &types.fns[fi], &types.rets, nfuncs, None);
+        f.pinned = crate::pin::select(f, &types.params[fi]);
     }
 }
 
@@ -833,6 +838,7 @@ pub fn specialize_image_remarked(image: &mut Image) -> Vec<Vec<SiteOutcome>> {
     for (fi, f) in image.funcs.iter_mut().enumerate() {
         let mut sink = Vec::new();
         specialize_fn(f, &types.fns[fi], &types.rets, nfuncs, Some(&mut sink));
+        f.pinned = crate::pin::select(f, &types.params[fi]);
         all.push(sink);
     }
     all

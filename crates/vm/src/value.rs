@@ -11,6 +11,17 @@
 //! [`ArrF`]/[`ArrI`] — `UnsafeCell` element storage with Zig-style
 //! bounds-checking controlled by [`zomp::safety::SafetyMode`]
 //! (debug = checked, production = unchecked).
+//!
+//! A `shared(...)` *array* reaches the outlined body as a `Ptr` slot
+//! holding the array. At `--opt>=2` the bytecode VM pins such a slot
+//! once per activation ([`crate::pin`]): one lock per cell per thread
+//! per region, after which elements are read and written through the
+//! array directly. A slot stays unpinned — every access locks it, as at
+//! `--opt<=1` — when the function writes the register, passes it on
+//! (to a call, `ompcall`, `&`, a store), when inference has no cell
+//! evidence for the parameter (host-reachable entry points), or when at
+//! entry the slot holds no array. A store that replaces an array in any
+//! slot invalidates live pins, which then fall back to the lock.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};

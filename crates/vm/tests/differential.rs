@@ -510,6 +510,247 @@ fn parallel_aggregates_agree() {
     }
 }
 
+/// Team sizes and schedules the shared-array pin cases run under.
+const PIN_THREADS: [i64; 3] = [1, 2, 4];
+const PIN_SCHEDULES: [&str; 3] = ["static", "dynamic, 3", "guided"];
+
+/// Shared-array pins (`--opt>=2` parameters read through their array
+/// once per activation) must be invisible: every case where a pin must
+/// not apply, or must be dropped mid-activation, agrees with the
+/// tree-walker at every opt level, on native, at 1/2/4 threads and under
+/// every schedule. `{T}` is the team size and `{S}` the schedule.
+#[test]
+fn shared_array_pins_agree() {
+    for (name, template) in [
+        (
+            // (a) The region rebinds the shared array inside `single`;
+            // after the barrier every thread must read the new array.
+            "rebind_in_single_then_barrier",
+            r#"fn main() void {
+    var a: []i64 = @allocI(4);
+    a[1] = 3;
+    var total: i64 = 0;
+    //$omp parallel num_threads({T}) shared(a) reduction(+: total)
+    {
+        total += a[1];
+        //$omp barrier
+        //$omp single
+        {
+            a = @allocI(8);
+            a[5] = 42;
+        }
+        //$omp barrier
+        total += a[5] + @len(a);
+        var i: i64 = 0;
+        //$omp while schedule({S})
+        while (i < @len(a)) : (i += 1) {
+            total += a[i];
+        }
+    }
+    print(total, a[5], @len(a));
+}"#,
+        ),
+        (
+            // (a) The rebind happens in another function, ordered by a
+            // barrier before the read: `reader`'s parameter is pinned
+            // at entry, so the rebind must invalidate the pin.
+            "rebind_in_other_function_across_barrier",
+            r#"fn writer(p: any) void {
+    p.* = @allocI(8);
+    p.*[5] = 42;
+}
+fn reader(p: any) i64 {
+    var before: i64 = p.*[0];
+    omp.internal.barrier();
+    return before + p.*[5] + @len(p.*);
+}
+fn main() void {
+    var a: []i64 = @allocI(4);
+    var total: i64 = 0;
+    //$omp parallel num_threads({T}) shared(a) reduction(+: total)
+    {
+        if (omp.get_thread_num() == 0) {
+            writer(&a);
+            omp.internal.barrier();
+            total += a[5];
+        } else {
+            total += reader(&a);
+        }
+        var i: i64 = 0;
+        //$omp while schedule({S})
+        while (i < 8) : (i += 1) {
+            total += a[i];
+        }
+    }
+    print(total);
+}"#,
+        ),
+        (
+            // (b) A shared array pointer passed to a callee that rebinds
+            // it; the region and a second callee read the new array.
+            "callee_rebinds_shared_array",
+            r#"fn grow(p: any, n: i64) void {
+    p.* = @allocI(n);
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        p.*[i] = i * 3;
+    }
+}
+fn sum(p: any) i64 {
+    var s: i64 = 0;
+    var i: i64 = 0;
+    while (i < @len(p.*)) : (i += 1) {
+        s += p.*[i];
+    }
+    return s;
+}
+fn main() void {
+    var a: []i64 = @allocI(4);
+    var total: i64 = 0;
+    //$omp parallel num_threads({T}) shared(a) reduction(+: total)
+    {
+        //$omp single
+        {
+            grow(&a, 10);
+        }
+        total += sum(&a);
+        var i: i64 = 0;
+        //$omp while schedule({S})
+        while (i < @len(a)) : (i += 1) {
+            total += a[i];
+        }
+    }
+    print(total, @len(a));
+}"#,
+        ),
+        (
+            // (b) The callee reads through one pointer and rebinds the
+            // same cell through an alias: the read after the rebind
+            // must see the new array.
+            "callee_rebinds_through_alias",
+            r#"fn swap_read(p: any, q: any) i64 {
+    var x: i64 = p.*[0];
+    q.* = @allocI(3);
+    q.*[0] = 7;
+    return x * 100 + p.*[0] + @len(p.*);
+}
+fn main() void {
+    var a: []i64 = @allocI(2);
+    a[0] = 5;
+    var total: i64 = 0;
+    //$omp parallel num_threads({T}) reduction(+: total)
+    {
+        var mine: []i64 = @allocI(2);
+        mine[0] = omp.get_thread_num();
+        total += swap_read(&mine, &mine);
+    }
+    print(swap_read(&a, &a), total);
+}"#,
+        ),
+        (
+            // (c) A shared *scalar* indexed as `x.*[i]`: the lock path
+            // must raise the walker's "cannot index" error.
+            "shared_scalar_indexed",
+            r#"fn main() void {
+    var x: i64 = 5;
+    var i: i64 = 0;
+    //$omp parallel num_threads({T}) shared(x) firstprivate(i)
+    {
+        var j: i64 = 0;
+        //$omp while schedule({S})
+        while (j < 4) : (j += 1) {
+            i += x[j];
+        }
+    }
+    print(i);
+}"#,
+        ),
+        (
+            // (c) Inference saw an array cell, but the cell holds a
+            // scalar by the time the region starts: no pin, same error.
+            "array_cell_rebound_to_scalar",
+            r#"fn main() void {
+    var a: []i64 = @allocI(4);
+    a = 7;
+    var s: i64 = 0;
+    //$omp parallel num_threads({T}) shared(a) reduction(+: s)
+    {
+        var j: i64 = 0;
+        //$omp while schedule({S})
+        while (j < 4) : (j += 1) {
+            s += a[j];
+        }
+    }
+    print(s);
+}"#,
+        ),
+    ] {
+        for nt in PIN_THREADS {
+            for sched in PIN_SCHEDULES {
+                let src = template
+                    .replace("{T}", &nt.to_string())
+                    .replace("{S}", sched);
+                assert_backends_agree(&format!("{name} (threads {nt}, {sched})"), &src);
+            }
+        }
+    }
+}
+
+/// (d) A host-called function whose cell parameter receives a plain
+/// array. Internal callers pass a cell, so the parameter is a pin
+/// candidate, but the host's array must still raise the walker's
+/// "cannot dereference []i64" — in the function itself and in its
+/// outlined region body.
+#[test]
+fn host_plain_array_in_cell_parameter_errors() {
+    let src = r#"fn peek(p: any, i: i64) i64 {
+    return p.*[i];
+}
+fn peek_par(p: any, nt: i64) i64 {
+    var s: i64 = 0;
+    //$omp parallel num_threads(nt) firstprivate(p) reduction(+: s)
+    {
+        s += p.*[1];
+    }
+    return s;
+}
+fn main() void {
+    var a: []i64 = @allocI(3);
+    a[1] = 9;
+    print(peek(&a, 1), peek_par(&a, 2));
+}"#;
+    let call = |backend: Backend, opt: OptLevel, entry: &str, args: Vec<Value>| {
+        let vm = Vm::build(src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(src)));
+        vm.call_function(entry, args)
+            .map(|v| format!("{:?} -> {}", *vm.output.lock(), v.render()))
+            .map_err(|e| e.to_string())
+    };
+    // Every backend and opt level agrees with the walker; returns its result.
+    let agree = |entry: &str, args: &dyn Fn() -> Vec<Value>| {
+        let ast = call(Backend::Ast, OptLevel::O0, entry, args());
+        for opt in opt_levels() {
+            let bc = call(Backend::Bytecode, opt, entry, args());
+            assert_eq!(bc, ast, "{entry}: backends diverged at --opt={opt}");
+        }
+        let native = call(Backend::Native, OptLevel::O2, entry, args());
+        assert_eq!(native, ast, "{entry}: native backend diverged");
+        ast
+    };
+    let plain = || Value::ArrI(std::sync::Arc::new(zomp_vm::value::ArrI::new(3)));
+    let deref_err = Err("runtime error: cannot dereference []i64".to_string());
+    assert_eq!(
+        agree("main", &Vec::new),
+        Ok(r#"["9 18"] -> void"#.to_string())
+    );
+    assert_eq!(agree("peek", &|| vec![plain(), Value::Int(1)]), deref_err);
+    for nt in PIN_THREADS {
+        assert_eq!(
+            agree("peek_par", &|| vec![plain(), Value::Int(nt)]),
+            deref_err
+        );
+    }
+}
+
 /// Tokenwise equality with a relative tolerance for floats: reduction
 /// combine order depends on thread arrival, so float sums jitter in the
 /// last bits run-to-run on *both* backends.

@@ -8,6 +8,8 @@
 //! view, so fusion regressions are visible as instruction-level diffs),
 //! and `tests/golden/loop.ir` (the `--dump-ir` typed block view, so
 //! inference regressions show up as type-annotation diffs).
+//! `tests/golden/shared.opt2.disasm` pins the header of a function whose
+//! `shared(...)` array parameters are pinned once per activation.
 //! To accept a new golden output:
 //!
 //! ```text
@@ -31,8 +33,26 @@ const PROGRAM: &str = r#"fn main() void {
 }
 "#;
 
+/// A region reading and writing `shared(...)` arrays: the outlined body's
+/// array parameters are listed as `pinned:` at `--opt=2`.
+const SHARED_PROGRAM: &str = r#"fn scale(a: []f64, b: []f64, n: i64) void {
+    //$omp parallel num_threads(2) shared(a, b)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(static)
+        while (i < n) : (i += 1) {
+            b[i] = a[i] * 2.0;
+        }
+    }
+}
+"#;
+
 fn check(opt: OptLevel, golden: &str) {
-    let program = zomp_vm::compile_opt(PROGRAM, Some("golden.zag"), opt).expect("compile");
+    check_program(PROGRAM, opt, golden);
+}
+
+fn check_program(source: &str, opt: OptLevel, golden: &str) {
+    let program = zomp_vm::compile_opt(source, Some("golden.zag"), opt).expect("compile");
     // O0 keeps the historical single-stage golden; optimized levels use
     // the pre/post `--dump-bytecode` rendering.
     let got = if opt == OptLevel::O0 {
@@ -72,6 +92,11 @@ fn loop_program_opt2_disassembly_matches_golden() {
 #[test]
 fn loop_program_opt3_disassembly_matches_golden() {
     check(OptLevel::O3, "loop.opt3.disasm");
+}
+
+#[test]
+fn shared_array_opt2_disassembly_lists_pinned_registers() {
+    check_program(SHARED_PROGRAM, OptLevel::O2, "shared.opt2.disasm");
 }
 
 /// The `--dump-ir` surface: blocks, predecessors/successors, and the
